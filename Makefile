@@ -5,7 +5,7 @@ PYTHON ?= python3
 .PHONY: install test lint lint-changed lint-conc hygiene bench bench-json bench-serve bench-store artifacts examples clean
 
 install:
-	pip install -e . && pip install pytest pytest-benchmark hypothesis
+	pip install -e '.[dev]'
 
 test:
 	$(PYTHON) -m pytest tests/

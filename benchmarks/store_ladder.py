@@ -24,7 +24,6 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import http.client
 import json
 import os
 import subprocess
@@ -43,6 +42,7 @@ from repro.pipeline.runall import write_manifest  # noqa: E402
 from repro.serve.loadgen import (  # noqa: E402
     LoadPlan,
     build_streams,
+    fetch,
     run_load,
     stream_digest,
 )
@@ -53,23 +53,26 @@ RSS_RATIO_MAX = 0.5
 P99_RATIO_MAX = 5.0
 
 # Runs in a fresh interpreter per tier: opens the run with one backend,
-# prints the bound port as JSON, then serves until killed.
+# serves it from one forked worker, prints the bound port and the
+# worker's pid (whose RSS the rung reports) as JSON, then waits to be
+# killed; the worker exits when its supervisor dies.
 _SERVER_STUB = """
-import json, sys
+import json, sys, threading
 from pathlib import Path
 from repro.perf import ArtifactCache, configure_cache
 from repro.serve import (
-    ServeApp, ServeSettings, build_index, load_manifest, make_server,
+    ServeSettings, ShardPlan, ShardedServer, build_index, load_manifest,
 )
 run, cache, backend = sys.argv[1:4]
 configure_cache(ArtifactCache(directory=Path(cache)))
-app = ServeApp(
-    build_index(load_manifest(Path(run)), backend=backend),
-    ServeSettings(port=0, response_cache_entries=0),
+server = ShardedServer(
+    index=build_index(load_manifest(Path(run)), backend=backend),
+    settings=ServeSettings(port=0, response_cache_entries=0),
+    plan=ShardPlan(workers=1),
 )
-server = make_server(app)
-print(json.dumps({"port": server.server_address[1]}), flush=True)
-server.serve_forever()
+__, port = server.start()
+print(json.dumps({"port": port, "pid": server.worker_pids()[0]}), flush=True)
+threading.Event().wait()
 """
 
 
@@ -106,8 +109,10 @@ def latency_summary(samples: list[float]) -> dict[str, float]:
     }
 
 
-def spawn_server(run: Path, cache: Path, backend: str) -> tuple[subprocess.Popen, int]:
-    """Start a fresh one-tier server process; return (process, port)."""
+def spawn_server(
+    run: Path, cache: Path, backend: str
+) -> tuple[subprocess.Popen, int, int]:
+    """Start a fresh one-tier server; return (process, port, worker pid)."""
     env = dict(os.environ)
     root = Path(__file__).resolve().parent.parent
     env["PYTHONPATH"] = str(root / "src")
@@ -122,29 +127,25 @@ def spawn_server(run: Path, cache: Path, backend: str) -> tuple[subprocess.Popen
     if not line:
         process.wait(timeout=10)
         raise RuntimeError(f"{backend} server died before binding a port")
-    return process, int(json.loads(line)["port"])
+    bound = json.loads(line)
+    return process, int(bound["port"]), int(bound["pid"])
 
 
-def fetch(port: int, path: str) -> dict:
+def fetch_json(port: int, path: str) -> dict:
     """One GET against the freshly bound server, parsed as JSON."""
-    connection = http.client.HTTPConnection("127.0.0.1", port, timeout=120)
-    try:
-        connection.request("GET", path)
-        return json.loads(connection.getresponse().read())
-    finally:
-        connection.close()
+    return json.loads(fetch("127.0.0.1", port, path, timeout=120)[1])
 
 
 def fetch_summary(port: int) -> dict:
     """GET /healthz from the freshly bound server."""
-    return fetch(port, "/healthz")
+    return fetch_json(port, "/healthz")
 
 
 def run_rung(run: Path, cache: Path, backend: str, plan: LoadPlan) -> dict:
     """One ladder rung: fresh server, seeded load, RSS by pid."""
     print(f"[{backend}] starting server...", flush=True)
     started = time.perf_counter()
-    process, port = spawn_server(run, cache, backend)
+    process, port, worker_pid = spawn_server(run, cache, backend)
     ready_seconds = time.perf_counter() - started
     try:
         # Set cover scans the whole incidence per call — an analytical
@@ -161,11 +162,11 @@ def run_rung(run: Path, cache: Path, backend: str, plan: LoadPlan) -> dict:
             flush=True,
         )
         result = run_load("127.0.0.1", port, streams)
-        # VmHWM must be read while the server process is still alive,
+        # VmHWM must be read while the serving worker is still alive,
         # and before the setcover probe (which deliberately pages the
         # whole incidence in and would mask the read-path RSS story).
-        rss_mb = rss_high_water_mb(process.pid)
-        setcover_body = fetch(port, "/v1/setcover/restaurants?budget=5")
+        rss_mb = rss_high_water_mb(worker_pid)
+        setcover_body = fetch_json(port, "/v1/setcover/restaurants?budget=5")
     finally:
         process.terminate()
         process.wait(timeout=10)

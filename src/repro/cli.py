@@ -450,18 +450,10 @@ def _run_id_of(path: Path) -> str:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    import signal
     import time
 
-    from repro.serve import (
-        ManifestWatcher,
-        RunRouter,
-        ServeApp,
-        ShardPlan,
-        ShardedServer,
-        build_index,
-        load_manifest,
-        make_server,
-    )
+    from repro.serve import ShardPlan, ShardedServer, build_index
 
     status = _install_fault_plan(args.inject_faults)
     if status:
@@ -487,74 +479,43 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     except FileNotFoundError as exc:
         print(f"no manifest: {exc}", file=sys.stderr)
         return 2
-    # Reloads (and extra-run builds) rebuild into the same tier.
-    builder = lambda manifest: build_index(manifest, backend=backend)  # noqa: E731
 
-    if args.workers > 1:
-        sharded = ShardedServer(
-            index=index,
-            manifest_path=primary_path,
-            settings=_serve_settings(args, args.port),
-            plan=ShardPlan(
-                workers=args.workers,
-                strategy=args.strategy,
-                reload_poll_seconds=args.reload_poll,
-            ),
-            builder=builder,
-            extra_runs=extra_runs,
-            default_run=run_ids[0],
-        )
-        host, port = sharded.start()
-        print(
-            f"serving on http://{host}:{port} with {args.workers} workers "
-            f"({sharded.strategy}) (Ctrl-C to stop)"
-        )
-        try:
-            while True:
-                time.sleep(3600)
-        except KeyboardInterrupt:
-            pass
-        finally:
-            sharded.stop()
-        return 0
-
-    app = ServeApp(index, _serve_settings(args, args.port))
-    watchers = []
-    if args.reload_poll > 0:
-        watchers.append(
-            ManifestWatcher(
-                primary_path, app, args.reload_poll, builder=builder
-            ).start()
-        )
-    handler = app
+    server = ShardedServer(
+        index=index,
+        manifest_path=primary_path,
+        settings=_serve_settings(args, args.port),
+        plan=ShardPlan(
+            workers=args.workers,
+            strategy=args.strategy,
+            reload_poll_seconds=args.reload_poll,
+        ),
+        # Reloads (and extra-run builds) rebuild into the same tier.
+        builder=lambda manifest: build_index(manifest, backend=backend),
+        extra_runs=extra_runs,
+        default_run=run_ids[0],
+    )
     if extra_runs:
-        apps = {run_ids[0]: app}
-        for run_id, path in extra_runs.items():
-            run_app = ServeApp(
-                builder(load_manifest(path)), _serve_settings(args, args.port)
-            )
-            apps[run_id] = run_app
-            if args.reload_poll > 0:
-                watchers.append(
-                    ManifestWatcher(
-                        path, run_app, args.reload_poll, builder=builder
-                    ).start()
-                )
-        handler = RunRouter(apps, run_ids[0])
-        print(f"multi-run registry: {sorted(apps)} (default: {run_ids[0]})")
-    server = make_server(handler)
-    host, port = server.server_address[:2]
-    print(f"serving on http://{host}:{port} (Ctrl-C to stop)")
+        print(f"multi-run registry: {sorted(run_ids)} (default: {run_ids[0]})")
+    host, port = server.start()
+
+    def _interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    # Installed after the fork so workers keep the default disposition;
+    # a SIGTERM'd supervisor then tears its workers down like Ctrl-C.
+    signal.signal(signal.SIGTERM, _interrupt)
     try:
-        server.serve_forever()
+        print(
+            f"serving on http://{host}:{port} with {args.workers} worker(s) "
+            f"({server.strategy}) (Ctrl-C to stop)",
+            flush=True,
+        )
+        while True:
+            time.sleep(3600)
     except KeyboardInterrupt:
         pass
     finally:
-        for watcher in watchers:
-            watcher.stop()
-        server.shutdown()
-        server.server_close()
-        handler.close()
+        server.stop()
     return 0
 
 
@@ -573,19 +534,17 @@ def _parse_sweep(text: str | None) -> list[float] | None:
 
 def _cmd_serve_bench(args: argparse.Namespace) -> int:
     import json
-    import threading
 
-    from repro.perf import peak_rss_mb, rss_high_water_mb
+    from repro.perf import peak_rss_mb
     from repro.serve import (
         LoadPlan,
         OpenLoadPlan,
-        ServeApp,
         ShardPlan,
         ShardedServer,
         build_open_schedule,
         build_streams,
+        fetch,
         find_knee,
-        make_server,
         run_load,
         run_open_load,
         stream_digest,
@@ -634,25 +593,12 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         return 0
 
     # Self-hosted target: ephemeral port, torn down after the run.
-    # Open mode needs the pipelining keep-alive shell, so anything but
-    # the plain closed-loop single process goes through the sharded
-    # supervisor (which runs FastHTTPServer workers even at workers=1).
-    app = None
-    sharded = None
-    settings = _serve_settings(args, 0)
-    if open_mode or args.workers > 1:
-        sharded = ShardedServer(
-            index=index,
-            settings=settings,
-            plan=ShardPlan(workers=args.workers, strategy=args.strategy),
-        )
-        host, port = sharded.start()
-    else:
-        app = ServeApp(index, settings)
-        server = make_server(app)
-        host, port = server.server_address[:2]
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
+    server = ShardedServer(
+        index=index,
+        settings=_serve_settings(args, 0),
+        plan=ShardPlan(workers=args.workers, strategy=args.strategy),
+    )
+    host, port = server.start()
 
     sweep = None
     warmup = None
@@ -715,23 +661,16 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
                 )
         else:
             result = run_load(host, port, streams, keep_alive=args.keep_alive == "on")
+        metrics = None
+        if args.workers == 1:
+            # /metrics is per worker, so only a lone worker's is whole.
+            metrics = json.loads(fetch(host, port, "/metrics")[1])
     finally:
         # Peak RSS must be read while the serving processes are alive:
         # /proc/<pid>/status vanishes with the worker.
-        if sharded is not None:
-            rss_mb = peak_rss_mb(sharded.worker_pids())
-            sharded.stop()
-        else:
-            rss_mb = rss_high_water_mb()
-            server.shutdown()
-            server.server_close()
-            thread.join()
+        rss_mb = peak_rss_mb(server.worker_pids())
+        server.stop()
 
-    metrics = None
-    if app is not None:
-        __, metrics_body = app.handle("/metrics")
-        metrics = json.loads(metrics_body)
-        app.close()
     target = (
         f"self-hosted {host}:{port} "
         f"({args.workers} worker(s), {args.mode} loop)"

@@ -17,14 +17,13 @@ cooperating pieces:
   ``/v1/demand``, ``/v1/setcover``, ``/healthz``, ``/metrics``) with
   per-request deadlines from :class:`repro.resilience.RetryPolicy`,
   fault-injectable handlers (``--inject-faults``), and epoch-swappable
-  indices (hot reload), plus the portable ``ThreadingHTTPServer``
-  shell.
-- :mod:`repro.serve.fasthttp` — the pipelining keep-alive HTTP/1.1
-  shell sharded workers run (batched writes, buffer-scan parsing).
-- :mod:`repro.serve.sharding` — the multi-process supervisor: N forked
-  workers behind one port via ``SO_REUSEPORT`` (fallback: an
-  fd-passing round-robin router), each inheriting the index built once
-  in the parent.
+  indices (hot reload).
+- :mod:`repro.serve.fasthttp` — the one HTTP/1.1 shell: pipelining,
+  keep-alive, batched writes, buffer-scan parsing.
+- :mod:`repro.serve.sharding` — the one serve path: a supervisor
+  forking N >= 1 workers behind one port via ``SO_REUSEPORT``
+  (fallback: an fd-passing round-robin router), each inheriting the
+  index built once in the parent.
 - :mod:`repro.serve.reload` — manifest watching and atomic hot index
   swaps (mtime gate, config-fingerprint gate, epoch replacement).
 - :mod:`repro.serve.rcache` — an LRU response cache keyed on
@@ -35,8 +34,9 @@ cooperating pieces:
   simultaneous requester).
 - :mod:`repro.serve.loadgen` — seeded load generators
   (``repro serve-bench``): the PR4-compatible closed loop and the
-  open-loop Poisson generator with rate sweeps, emitting latency /
-  throughput / knee reports to ``BENCH_PR7.json``.
+  open-loop Poisson generator with rate sweeps, both on one raw-socket
+  keep-alive client, emitting latency / throughput / knee reports to
+  ``BENCH_PR7.json``.
 
 Layering: ``serve`` sits *above* ``pipeline`` and ``store`` in the
 DESIGN.md §3 DAG, because it is an online consumer of the batch
@@ -50,7 +50,6 @@ from repro.serve.batcher import MicroBatcher
 from repro.serve.fasthttp import FastHTTPServer
 from repro.serve.indices import (
     PairIndex,
-    ServeIndex,
     build_index,
     load_manifest,
     manifest_identity,
@@ -59,9 +58,9 @@ from repro.serve.loadgen import (
     LoadPlan,
     LoadResult,
     OpenLoadPlan,
-    OpenLoadResult,
     build_open_schedule,
     build_streams,
+    fetch,
     find_knee,
     open_rate_summary,
     run_load,
@@ -78,7 +77,6 @@ from repro.serve.server import (
     RunRouter,
     ServeApp,
     ServeSettings,
-    make_server,
 )
 from repro.serve.sharding import (
     ShardPlan,
@@ -95,12 +93,10 @@ __all__ = [
     "ManifestWatcher",
     "MicroBatcher",
     "OpenLoadPlan",
-    "OpenLoadResult",
     "PairIndex",
     "ResponseCache",
     "RunRouter",
     "ServeApp",
-    "ServeIndex",
     "ServeMetrics",
     "ServeSettings",
     "ShardPlan",
@@ -109,9 +105,9 @@ __all__ = [
     "build_index",
     "build_open_schedule",
     "build_streams",
+    "fetch",
     "find_knee",
     "load_manifest",
-    "make_server",
     "manifest_identity",
     "open_rate_summary",
     "resolve_strategy",

@@ -1,10 +1,8 @@
-"""A lean HTTP/1.1 shell tuned for the serve tier's hot path.
+"""The serve tier's one HTTP/1.1 shell, tuned for its hot path.
 
-``ThreadingHTTPServer`` + ``BaseHTTPRequestHandler`` spend most of a
-cached request's budget inside generic request parsing (``readline``
-loops, header objects, date formatting).  At the throughput the sharded
-serve tier targets, that shell *is* the bottleneck — so workers run
-this one instead: a thread-per-connection loop that
+Generic request parsing (``readline`` loops, header objects, date
+formatting) would spend most of a cached request's budget, so every
+serve worker runs this shell instead: a thread-per-connection loop that
 
 - reads into one per-connection buffer and scans for complete request
   heads (requests are GET-only, so a head is the whole request);
@@ -12,8 +10,8 @@ this one instead: a thread-per-connection loop that
   produced from the same buffered chunk into a single ``sendall`` —
   the write syscall amortizes across the pipeline depth;
 - answers through :meth:`repro.serve.server.ServeApp.handle`, so
-  routing, caching, deadlines, metrics, and fault injection are the
-  same code path the portable shell uses, byte for byte;
+  routing, caching, deadlines, metrics, and fault injection live in
+  the app, not the shell;
 - honors keep-alive semantics: HTTP/1.1 persists unless the request
   says ``Connection: close``, HTTP/1.0 closes unless it says
   ``keep-alive``, and non-GET methods get a 501 and a close (a body we
@@ -21,8 +19,8 @@ this one instead: a thread-per-connection loop that
 
 The worker id travels on the ``X-Repro-Worker`` response header so the
 load generator can attribute every response to the shard that produced
-it.  The listening socket is injectable, which is how
-:mod:`repro.serve.sharding` binds ``SO_REUSEPORT`` sockets or feeds
+it.  The shell never binds: :mod:`repro.serve.sharding` hands it an
+``SO_REUSEPORT`` listener, or no socket at all and feeds it
 router-dispatched connections via :meth:`process_connection`.
 """
 
@@ -31,7 +29,7 @@ from __future__ import annotations
 import socket
 import threading
 
-from repro.serve.server import ServeApp
+from repro.serve.server import WORKER_HEADER, ServeApp
 
 __all__ = ["FastHTTPServer"]
 
@@ -54,40 +52,25 @@ _TERMINATOR = b"\r\n\r\n"
 class FastHTTPServer:
     """Thread-per-connection pipelining HTTP shell over a `ServeApp`."""
 
-    def __init__(
-        self,
-        app: ServeApp,
-        sock: socket.socket | None = None,
-        backlog: int = 512,
-        bind: bool = True,
-    ) -> None:
-        """Wrap ``app``; bind from its settings unless ``sock`` is given.
+    def __init__(self, app: ServeApp, sock: socket.socket | None = None) -> None:
+        """Wrap ``app`` around a listening ``sock``.
 
         Args:
             app: The request handler (owns routing/caching/metrics).
             sock: An already-bound, already-listening socket to accept
-                on (the sharding layer passes ``SO_REUSEPORT`` sockets
-                here).  ``None`` binds ``app.settings.host:port``.
-            backlog: Listen backlog when this class does the binding.
-            bind: ``False`` creates a socketless server fed exclusively
-                through :meth:`process_connection` (router workers).
+                on.  ``None`` creates a socketless server fed
+                exclusively through :meth:`process_connection` (router
+                workers).
         """
         self.app = app
-        if sock is None and bind:
-            sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            sock.bind((app.settings.host, app.settings.port))
-            sock.listen(backlog)
         self.socket = sock
-        self.server_address = (
-            sock.getsockname() if sock is not None else (app.settings.host, 0)
-        )
+        self.server_address = sock.getsockname() if sock is not None else None
         self._shutdown = threading.Event()
         self._connections = 0
         self._lock = threading.Lock()
         # Responses embed the worker id once; precompute the suffix.
         self._worker_suffix = (
-            f"X-Repro-Worker: {app.worker_id}\r\n\r\n".encode("ascii")
+            f"{WORKER_HEADER}: {app.worker_id}\r\n\r\n".encode("ascii")
         )
 
     # -- lifecycle ------------------------------------------------------------

@@ -3,8 +3,8 @@
 Two measurement models over the same deterministic request streams:
 
 - **Closed loop** (:func:`run_load`, the PR4-compatible default): each
-  client waits for a response before sending its next request over an
-  ``http.client`` connection.  Latency is request-to-response;
+  client waits for a response before sending its next request over its
+  keep-alive connection.  Latency is request-to-response;
   throughput is self-limiting — the server can never look overloaded
   because the clients slow down with it.
 - **Open loop** (:func:`run_open_load`): requests are *scheduled* by a
@@ -26,9 +26,12 @@ contract: each connection runs an independent seeded Poisson process
 (their superposition is Poisson at the offered rate), so the full
 (path, arrival) timeline is reproducible from the plan alone.
 
-Responses carry the shard id in the ``X-Repro-Worker`` header; the
-open-loop client records per-worker counts so a report shows exactly
-how the kernel (or the round-robin router) spread the connections.
+Both loops share one raw-socket HTTP/1.1 client (:class:`_ResponseReader`
+over :func:`socket.create_connection`), one result type
+(:class:`LoadResult`) and one report core.  Responses carry the shard
+id in the ``X-Repro-Worker`` header; both loops record per-worker
+counts so a report shows exactly how the kernel (or the round-robin
+router) spread the connections.
 
 Popularity follows the paper's head/tail framing: entity picks are
 Zipf-distributed over the catalog (rank 1 hottest), site picks are Zipf
@@ -42,7 +45,6 @@ from __future__ import annotations
 import collections
 import gc
 import hashlib
-import http.client
 import json
 import socket
 import threading
@@ -59,9 +61,9 @@ __all__ = [
     "LoadPlan",
     "LoadResult",
     "OpenLoadPlan",
-    "OpenLoadResult",
     "build_open_schedule",
     "build_streams",
+    "fetch",
     "find_knee",
     "open_rate_summary",
     "run_load",
@@ -213,13 +215,20 @@ def _endpoint_of(path: str) -> str:
 
 @dataclass
 class LoadResult:
-    """Measured outcome of one closed-loop run."""
+    """Measured outcome of one load run, closed or open loop.
+
+    ``offered_rate`` is the open loop's scheduled rate (None for a
+    closed loop); ``worker_requests`` counts answers per
+    ``X-Repro-Worker``.
+    """
 
     wall_seconds: float
     stream_sha256: str
     latencies: dict[str, list[float]] = field(repr=False, default_factory=dict)
     statuses: dict[str, int] = field(default_factory=dict)
+    worker_requests: dict[str, int] = field(default_factory=dict)
     transport_errors: int = 0
+    offered_rate: float | None = None
 
     @property
     def total_requests(self) -> int:
@@ -228,7 +237,7 @@ class LoadResult:
 
     @property
     def throughput_rps(self) -> float:
-        """Aggregate requests per second over the wall-clock window."""
+        """Completed requests per second over the wall-clock window."""
         return self.total_requests / self.wall_seconds if self.wall_seconds else 0.0
 
     def all_latencies(self) -> list[float]:
@@ -237,6 +246,24 @@ class LoadResult:
         for samples in self.latencies.values():
             merged.extend(samples)
         return merged
+
+    def record(
+        self, endpoint: str, status: int, seconds: float, worker: str | None
+    ) -> None:
+        """Count one request with a latency sample (caller serializes)."""
+        self.latencies.setdefault(endpoint, []).append(seconds)
+        key = str(status)
+        self.statuses[key] = self.statuses.get(key, 0) + 1
+        if status == CLIENT_ERROR_STATUS:
+            self.transport_errors += 1
+        if worker is not None:
+            self.worker_requests[worker] = self.worker_requests.get(worker, 0) + 1
+
+    def record_failures(self, count: int) -> None:
+        """Count requests a transport failure left without an answer."""
+        key = str(CLIENT_ERROR_STATUS)
+        self.statuses[key] = self.statuses.get(key, 0) + count
+        self.transport_errors += count
 
 
 def _percentile(samples: list[float], q: float) -> float:
@@ -261,6 +288,74 @@ def _latency_summary(samples: list[float]) -> dict[str, float]:
     }
 
 
+def _connect(host: str, port: int, timeout: float) -> socket.socket:
+    """A client connection with Nagle off (loopback latency is the point)."""
+    sock = socket.create_connection((host, port), timeout=timeout)
+    try:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    except OSError:
+        pass
+    return sock
+
+
+def _request(host: str, path: str, keep_alive: bool = True) -> bytes:
+    """The bytes of one ``GET`` (``Connection: close`` unless keep-alive)."""
+    close = "" if keep_alive else "Connection: close\r\n"
+    return f"GET {path} HTTP/1.1\r\nHost: {host}\r\n{close}\r\n".encode("latin-1")
+
+
+class _ResponseReader:
+    """Minimal HTTP/1.x response scanner over a raw socket."""
+
+    __slots__ = ("sock", "buf")
+
+    def __init__(self, sock: socket.socket) -> None:
+        """Wrap ``sock``; responses are read strictly in order."""
+        self.sock = sock
+        self.buf = bytearray()
+
+    def _fill(self) -> None:
+        chunk = self.sock.recv(1 << 16)
+        if not chunk:
+            raise ConnectionError("server closed the connection")
+        self.buf += chunk
+
+    def next_response(self) -> tuple[int, str | None, bytes]:
+        """Read one response; returns ``(status, worker_id_header, body)``."""
+        while True:
+            end = self.buf.find(b"\r\n\r\n")
+            if end >= 0:
+                break
+            self._fill()
+        head = bytes(self.buf[:end])
+        del self.buf[: end + 4]
+        lines = head.split(b"\r\n")
+        status = int(lines[0].split()[1])
+        length = 0
+        worker: str | None = None
+        for line in lines[1:]:
+            lowered = line.lower()
+            if lowered.startswith(b"content-length:"):
+                length = int(line.split(b":", 1)[1])
+            elif lowered.startswith(b"x-repro-worker:"):
+                worker = line.split(b":", 1)[1].strip().decode("ascii")
+        while len(self.buf) < length:
+            self._fill()
+        body = bytes(self.buf[:length])
+        del self.buf[:length]
+        return status, worker, body
+
+
+def fetch(
+    host: str, port: int, path: str, timeout: float = 30.0
+) -> tuple[int, bytes]:
+    """One ``GET`` over its own connection; returns ``(status, body)``."""
+    with _connect(host, port, timeout) as sock:
+        sock.sendall(_request(host, path, keep_alive=False))
+        status, __, body = _ResponseReader(sock).next_response()
+    return status, body
+
+
 def run_load(
     host: str,
     port: int,
@@ -270,11 +365,12 @@ def run_load(
 ) -> LoadResult:
     """Drive the request streams closed-loop; one thread per client.
 
-    Each client owns one pooled keep-alive connection (re-opened after
-    a transport failure, with the failure recorded as status 599) and
-    issues its stream strictly in order, waiting for each response —
-    the classic closed-loop model, so measured latency includes the
-    full server-side queueing the concurrency level induces.
+    Each client owns one keep-alive connection with one request in
+    flight (re-opened after a transport failure, with the failure
+    recorded as status 599) and issues its stream strictly in order,
+    waiting for each response — the classic closed-loop model, so
+    measured latency includes the full server-side queueing the
+    concurrency level induces.
 
     ``keep_alive=False`` reverts to one connection per request
     (``Connection: close``), the PR4 behavior — useful for measuring
@@ -284,38 +380,29 @@ def run_load(
     lock = threading.Lock()
     result = LoadResult(wall_seconds=0.0, stream_sha256=stream_digest(streams))
 
-    def record(endpoint: str, status: int, seconds: float) -> None:
-        with lock:
-            result.latencies.setdefault(endpoint, []).append(seconds)
-            key = str(status)
-            result.statuses[key] = result.statuses.get(key, 0) + 1
-            if status == CLIENT_ERROR_STATUS:
-                result.transport_errors += 1
-
-    close_header = {} if keep_alive else {"Connection": "close"}
-
     def client_loop(paths: list[str]) -> None:
-        connection = http.client.HTTPConnection(host, port, timeout=timeout)
+        reader: _ResponseReader | None = None
         try:
             for path in paths:
                 started = time.perf_counter()
                 try:
-                    connection.request("GET", path, headers=close_header)
-                    response = connection.getresponse()
-                    response.read()
-                    status = response.status
-                except (OSError, http.client.HTTPException):
-                    status = CLIENT_ERROR_STATUS
-                if status == CLIENT_ERROR_STATUS or not keep_alive:
-                    connection.close()
-                    connection = http.client.HTTPConnection(
-                        host, port, timeout=timeout
-                    )
-                record(
-                    _endpoint_of(path), status, time.perf_counter() - started
-                )
+                    if reader is None:
+                        reader = _ResponseReader(_connect(host, port, timeout))
+                    reader.sock.sendall(_request(host, path, keep_alive))
+                    status, worker, __ = reader.next_response()
+                except (OSError, ValueError, IndexError):
+                    status, worker = CLIENT_ERROR_STATUS, None
+                if reader is not None and (
+                    status == CLIENT_ERROR_STATUS or not keep_alive
+                ):
+                    reader.sock.close()
+                    reader = None
+                seconds = time.perf_counter() - started
+                with lock:
+                    result.record(_endpoint_of(path), status, seconds, worker)
         finally:
-            connection.close()
+            if reader is not None:
+                reader.sock.close()
 
     threads = [
         threading.Thread(target=client_loop, args=(paths,), daemon=True)
@@ -329,6 +416,32 @@ def run_load(
         thread.join()
     result.wall_seconds = time.perf_counter() - started
     return result
+
+
+def _write_report(
+    path: str | Path, head: dict, result: LoadResult, **extras: object
+) -> dict:
+    """Write ``head`` + the measured core + non-None ``extras``; returns it."""
+    payload = {
+        **head,
+        "request_stream_sha256": result.stream_sha256,
+        "wall_seconds": round(result.wall_seconds, 3),
+        "throughput_rps": round(result.throughput_rps, 2),
+        "latency_ms": _latency_summary(result.all_latencies()),
+        "per_endpoint": {
+            endpoint: {
+                "count": len(samples),
+                **_latency_summary(samples),
+            }
+            for endpoint, samples in sorted(result.latencies.items())
+        },
+        "per_worker": dict(sorted(result.worker_requests.items())),
+        "statuses": dict(sorted(result.statuses.items())),
+        "transport_errors": result.transport_errors,
+    }
+    payload.update({key: value for key, value in extras.items() if value is not None})
+    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    return payload
 
 
 def write_bench_report(
@@ -345,7 +458,7 @@ def write_bench_report(
     from :func:`repro.perf.peak_rss_mb`) — the storage-tier benchmarks
     compare backends on it.
     """
-    payload = {
+    head = {
         "benchmark": "repro serve closed-loop load generator",
         "target": target,
         "plan": {
@@ -354,26 +467,10 @@ def write_bench_report(
             "requests": plan.requests,
             "zipf_exponent": plan.zipf_exponent,
         },
-        "request_stream_sha256": result.stream_sha256,
-        "wall_seconds": round(result.wall_seconds, 3),
-        "throughput_rps": round(result.throughput_rps, 2),
-        "latency_ms": _latency_summary(result.all_latencies()),
-        "per_endpoint": {
-            endpoint: {
-                "count": len(samples),
-                **_latency_summary(samples),
-            }
-            for endpoint, samples in sorted(result.latencies.items())
-        },
-        "statuses": dict(sorted(result.statuses.items())),
-        "transport_errors": result.transport_errors,
     }
-    if server_metrics is not None:
-        payload["server_metrics"] = server_metrics
-    if rss_mb is not None:
-        payload["rss_mb"] = rss_mb
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return payload
+    return _write_report(
+        path, head, result, server_metrics=server_metrics, rss_mb=rss_mb
+    )
 
 
 # -- open-loop generation ------------------------------------------------------
@@ -452,77 +549,6 @@ def build_open_schedule(plan: OpenLoadPlan) -> list[np.ndarray]:
     return schedules
 
 
-@dataclass
-class OpenLoadResult:
-    """Measured outcome of one open-loop run."""
-
-    offered_rate: float
-    wall_seconds: float
-    stream_sha256: str
-    latencies: dict[str, list[float]] = field(repr=False, default_factory=dict)
-    statuses: dict[str, int] = field(default_factory=dict)
-    worker_requests: dict[str, int] = field(default_factory=dict)
-    transport_errors: int = 0
-
-    @property
-    def total_requests(self) -> int:
-        """Requests completed (including error responses)."""
-        return sum(len(samples) for samples in self.latencies.values())
-
-    @property
-    def throughput_rps(self) -> float:
-        """Completed requests per second over the wall-clock window."""
-        return self.total_requests / self.wall_seconds if self.wall_seconds else 0.0
-
-    def all_latencies(self) -> list[float]:
-        """Every latency sample (completion − scheduled arrival)."""
-        merged: list[float] = []
-        for samples in self.latencies.values():
-            merged.extend(samples)
-        return merged
-
-
-class _ResponseReader:
-    """Minimal HTTP/1.x response scanner over a raw socket."""
-
-    __slots__ = ("sock", "buf")
-
-    def __init__(self, sock: socket.socket) -> None:
-        """Wrap ``sock``; responses are read strictly in order."""
-        self.sock = sock
-        self.buf = bytearray()
-
-    def _fill(self) -> None:
-        chunk = self.sock.recv(1 << 16)
-        if not chunk:
-            raise ConnectionError("server closed the connection")
-        self.buf += chunk
-
-    def next_response(self) -> tuple[int, str | None]:
-        """Read one response; returns ``(status, worker_id_header)``."""
-        while True:
-            end = self.buf.find(b"\r\n\r\n")
-            if end >= 0:
-                break
-            self._fill()
-        head = bytes(self.buf[:end])
-        del self.buf[: end + 4]
-        lines = head.split(b"\r\n")
-        status = int(lines[0].split()[1])
-        length = 0
-        worker: str | None = None
-        for line in lines[1:]:
-            lowered = line.lower()
-            if lowered.startswith(b"content-length:"):
-                length = int(line.split(b":", 1)[1])
-            elif lowered.startswith(b"x-repro-worker:"):
-                worker = line.split(b":", 1)[1].strip().decode("ascii")
-        while len(self.buf) < length:
-            self._fill()
-        del self.buf[:length]
-        return status, worker
-
-
 def run_open_load(
     host: str,
     port: int,
@@ -530,7 +556,7 @@ def run_open_load(
     schedules: list[np.ndarray],
     offered_rate: float,
     timeout: float = 30.0,
-) -> OpenLoadResult:
+) -> LoadResult:
     """Drive the streams open-loop against ``host:port``.
 
     Connections are established sequentially **before** any traffic
@@ -555,7 +581,7 @@ def run_open_load(
         timeout: Socket timeout for connect/read.
 
     Returns:
-        An :class:`OpenLoadResult`; requests left unanswered by a
+        A :class:`LoadResult`; requests left unanswered by a
         transport failure are counted as status 599 without latency
         samples.
     """
@@ -566,44 +592,17 @@ def run_open_load(
             raise ValueError("per-connection stream/schedule length mismatch")
 
     lock = threading.Lock()
-    result = OpenLoadResult(
-        offered_rate=offered_rate,
+    result = LoadResult(
         wall_seconds=0.0,
         stream_sha256=stream_digest(streams),
+        offered_rate=offered_rate,
     )
-
-    def record(endpoint: str, status: int, seconds: float, worker: str | None) -> None:
-        with lock:
-            result.latencies.setdefault(endpoint, []).append(seconds)
-            key = str(status)
-            result.statuses[key] = result.statuses.get(key, 0) + 1
-            if worker is not None:
-                result.worker_requests[worker] = (
-                    result.worker_requests.get(worker, 0) + 1
-                )
-
-    def record_failures(count: int) -> None:
-        with lock:
-            key = str(CLIENT_ERROR_STATUS)
-            result.statuses[key] = result.statuses.get(key, 0) + count
-            result.transport_errors += count
-
-    sockets: list[socket.socket] = []
-    for __ in streams:
-        sock = socket.create_connection((host, port), timeout=timeout)
-        try:
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        except OSError:
-            pass
-        sockets.append(sock)
+    sockets = [_connect(host, port, timeout) for __ in streams]
 
     start = time.perf_counter()
 
     def writer(sock: socket.socket, paths, times, pending) -> None:
-        payloads = [
-            f"GET {path} HTTP/1.1\r\nHost: {host}\r\n\r\n".encode("latin-1")
-            for path in paths
-        ]
+        payloads = [_request(host, path) for path in paths]
         i, n = 0, len(paths)
         try:
             while i < n:
@@ -630,13 +629,17 @@ def run_open_load(
         completed = 0
         try:
             while completed < total:
-                status, worker = parser.next_response()
+                status, worker, __ = parser.next_response()
                 finished = time.perf_counter() - start
                 path, scheduled = pending.popleft()
-                record(_endpoint_of(path), status, finished - scheduled, worker)
+                with lock:
+                    result.record(
+                        _endpoint_of(path), status, finished - scheduled, worker
+                    )
                 completed += 1
-        except (OSError, ConnectionError, ValueError, IndexError):
-            record_failures(total - completed)
+        except (OSError, ValueError, IndexError):
+            with lock:
+                result.record_failures(total - completed)
 
     threads: list[threading.Thread] = []
     for sock, paths, times in zip(sockets, streams, schedules):
@@ -674,7 +677,7 @@ def run_open_load(
     return result
 
 
-def open_rate_summary(result: OpenLoadResult) -> dict:
+def open_rate_summary(result: LoadResult) -> dict:
     """One sweep row: rate, achieved throughput, latency, errors."""
     samples = result.all_latencies()
     return {
@@ -695,7 +698,7 @@ def find_knee(
     rates: list[float],
     p99_budget_ms: float,
     timeout: float = 30.0,
-) -> tuple[dict, OpenLoadResult | None]:
+) -> tuple[dict, LoadResult | None]:
     """Sweep offered rates ascending; find the p99-under-budget knee.
 
     A rate *passes* when its open-loop p99 (against scheduled arrivals)
@@ -709,7 +712,7 @@ def find_knee(
         ``{"p99_budget_ms", "rates": [row...], "knee_rate_rps",
         "knee": row | None}`` record where each row is
         :func:`open_rate_summary` output plus ``"ok"``.
-        ``knee_result`` is the full :class:`OpenLoadResult` of the knee
+        ``knee_result`` is the full :class:`LoadResult` of the knee
         rung (None when no rate passed) — report *that* run rather than
         re-measuring, so the headline numbers are the very samples that
         established the knee.
@@ -718,7 +721,7 @@ def find_knee(
         raise ValueError("need at least one rate to sweep")
     rows: list[dict] = []
     knee: dict | None = None
-    knee_result: OpenLoadResult | None = None
+    knee_result: LoadResult | None = None
     for rate in sorted(rates):
         step = plan.at_rate(rate)
         streams = build_streams(summary, step.closed_plan())
@@ -748,7 +751,7 @@ def find_knee(
 def write_open_bench_report(
     path: str | Path,
     plan: OpenLoadPlan,
-    result: OpenLoadResult,
+    result: LoadResult,
     sweep: dict | None = None,
     server_metrics: dict | None = None,
     target: str = "",
@@ -759,7 +762,7 @@ def write_open_bench_report(
 
     ``rss_mb``: server-side peak resident set in MB (max over workers).
     """
-    payload = {
+    head = {
         "benchmark": "repro serve open-loop load generator",
         "mode": "open",
         "target": target,
@@ -770,29 +773,14 @@ def write_open_bench_report(
             "connections": plan.connections,
             "zipf_exponent": plan.zipf_exponent,
         },
-        "request_stream_sha256": result.stream_sha256,
         "offered_rate_rps": round(result.offered_rate, 2),
-        "wall_seconds": round(result.wall_seconds, 3),
-        "throughput_rps": round(result.throughput_rps, 2),
-        "latency_ms": _latency_summary(result.all_latencies()),
-        "per_endpoint": {
-            endpoint: {
-                "count": len(samples),
-                **_latency_summary(samples),
-            }
-            for endpoint, samples in sorted(result.latencies.items())
-        },
-        "per_worker": dict(sorted(result.worker_requests.items())),
-        "statuses": dict(sorted(result.statuses.items())),
-        "transport_errors": result.transport_errors,
     }
-    if sweep is not None:
-        payload["sweep"] = sweep
-    if server_metrics is not None:
-        payload["server_metrics"] = server_metrics
-    if warmup is not None:
-        payload["warmup"] = warmup
-    if rss_mb is not None:
-        payload["rss_mb"] = rss_mb
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return payload
+    return _write_report(
+        path,
+        head,
+        result,
+        sweep=sweep,
+        server_metrics=server_metrics,
+        warmup=warmup,
+        rss_mb=rss_mb,
+    )

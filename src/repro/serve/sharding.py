@@ -27,11 +27,16 @@ shell over a per-worker :class:`~repro.serve.server.ServeApp` (own
 caches, own metrics, shared immutable index pages) and optionally a
 :class:`~repro.serve.reload.ManifestWatcher` for hot index reload.
 
+This is the only way to serve: ``repro serve`` and ``repro
+serve-bench`` run it at every worker count, ``workers=1`` included.
+
 Supervision is fork-based: worker entry points are bound methods, which
 only works because ``fork`` inherits state instead of pickling it.  On
-platforms without ``fork`` the constructor raises — the portable
-single-process shell (:func:`repro.serve.server.make_server`) still
-works everywhere.
+platforms without ``fork`` the constructor raises.  Every worker holds
+one end of a Unix socketpair to the supervisor, whatever the strategy;
+EOF on it — from :meth:`ShardedServer.stop` or from the supervisor's
+death, however abrupt — ends the worker, so no worker outlives its
+supervisor.
 """
 
 from __future__ import annotations
@@ -45,9 +50,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.serve.fasthttp import FastHTTPServer
-from repro.serve.indices import ServeIndex, build_index, load_manifest
+from repro.serve.indices import build_index, load_manifest
 from repro.serve.reload import ManifestWatcher
 from repro.serve.server import RunRouter, ServeApp, ServeSettings
+from repro.store import QueryIndex
 
 __all__ = [
     "ShardPlan",
@@ -123,7 +129,7 @@ class ShardedServer:
 
     def __init__(
         self,
-        index: ServeIndex | None = None,
+        index: QueryIndex | None = None,
         manifest_path: str | Path | None = None,
         settings: ServeSettings | None = None,
         plan: ShardPlan | None = None,
@@ -161,8 +167,8 @@ class ShardedServer:
         """
         if "fork" not in multiprocessing.get_all_start_methods():
             raise RuntimeError(
-                "sharded serving requires the fork start method; use "
-                "repro.serve.make_server on this platform"
+                "serving requires the fork start method, which this "
+                "platform lacks"
             )
         self.settings = settings or ServeSettings()
         self.plan = plan or ShardPlan()
@@ -187,7 +193,7 @@ class ShardedServer:
             )
         # Extra-run indices are built once, pre-fork, for the same
         # copy-on-write sharing the primary index gets.
-        self.extra_indices: dict[str, ServeIndex] = {
+        self.extra_indices: dict[str, QueryIndex] = {
             run_id: self.builder(load_manifest(path))
             for run_id, path in sorted(self.extra_runs.items())
         }
@@ -232,31 +238,23 @@ class ShardedServer:
         self.server_address = (host, port)
 
         ready_events = []
+        listen_on = (host, port) if self.strategy == "reuseport" else None
         for worker_id in range(self.plan.workers):
             ready = self._ctx.Event()
             ready_events.append(ready)
-            if self.strategy == "reuseport":
-                process = self._ctx.Process(
-                    target=self._worker_reuseport,
-                    args=(worker_id, host, port, ready),
-                    daemon=True,
-                    name=f"serve-shard-{worker_id}",
-                )
-            else:
-                parent_end, child_end = socket.socketpair(
-                    socket.AF_UNIX, socket.SOCK_STREAM
-                )
-                self._channels.append(parent_end)
-                process = self._ctx.Process(
-                    target=self._worker_router,
-                    args=(worker_id, child_end, ready),
-                    daemon=True,
-                    name=f"serve-shard-{worker_id}",
-                )
+            parent_end, child_end = socket.socketpair(
+                socket.AF_UNIX, socket.SOCK_STREAM
+            )
+            self._channels.append(parent_end)
+            process = self._ctx.Process(
+                target=self._worker,
+                args=(worker_id, child_end, ready, listen_on),
+                daemon=True,
+                name=f"serve-shard-{worker_id}",
+            )
             process.start()
             self._processes.append(process)
-            if self.strategy == "router":
-                child_end.close()  # the worker owns its end now
+            child_end.close()  # the worker owns its end now
 
         for worker_id, ready in enumerate(ready_events):
             if not ready.wait(timeout=_READY_TIMEOUT):
@@ -374,22 +372,21 @@ class ShardedServer:
         gc.disable()
         return handler, watchers
 
-    def _worker_reuseport(
-        self, worker_id: int, host: str, port: int, ready
+    def _worker(
+        self,
+        worker_id: int,
+        channel: socket.socket,
+        ready,
+        listen_on: tuple[str, int] | None,
     ) -> None:
-        """Worker body: own SO_REUSEPORT listener, own accept loop."""
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-        sock.bind((host, port))
-        sock.listen(self.plan.backlog)
-        app, __ = self._worker_app(worker_id)
-        server = FastHTTPServer(app, sock)
-        ready.set()
-        server.serve_forever()
+        """Worker body: serve until the supervisor channel reads EOF.
 
-    def _worker_router(self, worker_id: int, channel: socket.socket, ready) -> None:
-        """Worker body: serve connections whose fds arrive over ``channel``."""
+        With ``listen_on`` (reuseport) the worker binds its own
+        ``SO_REUSEPORT`` listener and accepts on a thread; otherwise
+        connection fds arrive over ``channel`` from the router.  Either
+        way the main thread blocks on ``channel``, and EOF ends the
+        worker.
+        """
         # CONC003 suppressed: touching the pre-fork channel sockets here
         # is deliberate fork-fd hygiene — the child closes every
         # inherited parent-side end precisely SO that no fork-unsafe fd
@@ -397,13 +394,25 @@ class ShardedServer:
         # reads EOF and its siblings hang on shutdown.
         for parent_end in self._channels:  # reprolint: disable=CONC003
             # Fork copied every earlier worker's parent-side channel
-            # into this child; close them so EOF propagates correctly.
+            # (and this worker's own) into this child; close them so
+            # EOF propagates correctly.
             try:
                 parent_end.close()
             except OSError:
                 pass
+        sock = None
+        if listen_on is not None:
+            sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
+            sock.bind(listen_on)
+            sock.listen(self.plan.backlog)
         app, __ = self._worker_app(worker_id)
-        server = FastHTTPServer(app, bind=False)
+        server = FastHTTPServer(app, sock)
+        if sock is not None:
+            threading.Thread(
+                target=server.serve_forever, daemon=True, name="serve-accept"
+            ).start()
         ready.set()
         while True:
             try:

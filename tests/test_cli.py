@@ -200,6 +200,11 @@ def test_serve_bench_dry_run_is_deterministic(serve_artifacts, capsys):
     second = capsys.readouterr().out
     sha = [line for line in first.splitlines() if "sha256" in line]
     assert sha == [line for line in second.splitlines() if "sha256" in line]
+    # Pinned: the stream is a fixed oracle, whatever client replays it.
+    assert sha == [
+        "request stream sha256: "
+        "0e9309cc2ecb9d8896189fd8aafc163585018f2d5c96c272d7623a917b084637"
+    ]
 
 
 def test_serve_bench_self_hosted_run(serve_artifacts, tmp_path, capsys):
@@ -217,6 +222,8 @@ def test_serve_bench_self_hosted_run(serve_artifacts, tmp_path, capsys):
     assert payload["statuses"] == {"200": 20}
     assert payload["throughput_rps"] > 0
     assert payload["server_metrics"]["requests_total"] >= 20
+    assert payload["per_worker"] == {"0": 20}
+    assert payload["rss_mb"] > 0
 
 
 def test_serve_bench_missing_manifest(tmp_path, capsys):
@@ -247,11 +254,16 @@ def test_serve_bench_closed_loop_without_keep_alive(serve_artifacts, tmp_path, c
         [
             "serve-bench", str(serve_artifacts),
             "--seed", "7", "--clients", "2", "--requests", "20",
-            "--keep-alive", "off", "--report", str(report), "--no-cache",
+            "--keep-alive", "off", "--workers", "2", "--strategy", "router",
+            "--report", str(report), "--no-cache",
         ]
     ) == 0
     payload = json.loads(report.read_text())
     assert payload["statuses"] == {"200": 20}
+    # The closed loop sees X-Repro-Worker too; the router spreads the
+    # per-request connections over both workers.
+    assert sorted(payload["per_worker"]) == ["0", "1"]
+    assert sum(payload["per_worker"].values()) == 20
 
 
 def test_serve_bench_open_loop_sharded_run(serve_artifacts, tmp_path, capsys):

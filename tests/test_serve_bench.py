@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import socket
+import threading
 
 import numpy as np
 import pytest
@@ -12,13 +14,13 @@ from repro.serve.loadgen import (
     LoadPlan,
     LoadResult,
     OpenLoadPlan,
-    OpenLoadResult,
     _endpoint_of,
     _percentile,
     build_open_schedule,
     build_streams,
     find_knee,
     open_rate_summary,
+    run_load,
     run_open_load,
     stream_digest,
     write_bench_report,
@@ -153,6 +155,37 @@ def test_write_bench_report_shape(tmp_path):
     assert with_metrics["server_metrics"] == {"requests_total": 4}
 
 
+def test_run_load_records_transport_failure_and_reconnects():
+    """A dropped connection is one 599; the client reconnects and goes on."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    port = listener.getsockname()[1]
+
+    def serve():
+        conn, __ = listener.accept()
+        conn.recv(1024)
+        conn.close()  # hang up without answering
+        conn, __ = listener.accept()
+        with conn:
+            conn.recv(1024)
+            conn.sendall(
+                b"HTTP/1.1 200 OK\r\nContent-Length: 3\r\n"
+                b"X-Repro-Worker: 0\r\n\r\nok\n"
+            )
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        result = run_load("127.0.0.1", port, [["/healthz", "/healthz"]], timeout=10)
+    finally:
+        thread.join(timeout=10)
+        listener.close()
+    assert not thread.is_alive()
+    assert result.statuses == {"200": 1, str(CLIENT_ERROR_STATUS): 1}
+    assert result.transport_errors == 1
+    assert result.worker_requests == {"0": 1}
+    assert result.total_requests == 2
+
+
 def test_empty_pairs_rejected():
     with pytest.raises(ValueError, match="no .domain, attribute. pairs"):
         build_streams({"pairs": [], "traffic_sites": []}, LoadPlan())
@@ -212,7 +245,7 @@ def test_open_schedule_mean_rate_matches_offer():
 
 def test_write_open_bench_report_shape(tmp_path):
     plan = OpenLoadPlan(seed=7, rate=100.0, duration_seconds=1.0, connections=2)
-    result = OpenLoadResult(
+    result = LoadResult(
         offered_rate=100.0,
         wall_seconds=1.0,
         stream_sha256="deadbeef",
@@ -240,7 +273,7 @@ def test_write_open_bench_report_shape(tmp_path):
 
 
 def test_open_rate_summary_counts_errors():
-    result = OpenLoadResult(
+    result = LoadResult(
         offered_rate=10.0,
         wall_seconds=2.0,
         stream_sha256="x",

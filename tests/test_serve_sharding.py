@@ -4,12 +4,20 @@ from __future__ import annotations
 
 import http.client
 import json
+import os
+import signal
 import socket
+import subprocess
+import sys
 import threading
+import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.pipeline.config import ExperimentConfig
+from repro.pipeline.runall import write_manifest
 from repro.serve import ServeApp, ServeSettings, WORKER_HEADER
 from repro.serve.fasthttp import FastHTTPServer
 from repro.serve.indices import Manifest, build_index
@@ -125,7 +133,7 @@ def fast_server(index):
     app = ServeApp(
         index, ServeSettings(host="127.0.0.1", port=0), worker_id=3
     )
-    server = FastHTTPServer(app)
+    server = FastHTTPServer(app, socket.create_server(("127.0.0.1", 0)))
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     yield server, app
@@ -206,7 +214,7 @@ def test_fasthttp_rejects_malformed_request_line(fast_server):
 
 def test_fasthttp_socketless_refuses_serve_forever(index):
     app = ServeApp(index, ServeSettings())
-    server = FastHTTPServer(app, bind=False)
+    server = FastHTTPServer(app)
     with pytest.raises(RuntimeError, match="process_connection"):
         server.serve_forever()
     server.shutdown()
@@ -305,3 +313,94 @@ def test_worker_metrics_report_worker_id(index):
         server.stop()
     assert str(payload["worker"]) == header
     assert payload["index_fingerprint"] == index.identity
+
+
+# -- supervisor death ---------------------------------------------------------
+
+
+def _live_children(pid):
+    """Non-zombie child pids of ``pid``, from a ``/proc`` scan."""
+    children = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            stat = Path(f"/proc/{entry}/stat").read_text()
+        except OSError:
+            continue
+        state, ppid = stat.rsplit(")", 1)[1].split()[:2]
+        if int(ppid) == pid and state != "Z":
+            children.append(int(entry))
+    return children
+
+
+def _alive(pid):
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+def _refuses(port):
+    try:
+        with socket.create_connection(("127.0.0.1", port), timeout=1.0):
+            return False
+    except ConnectionRefusedError:
+        return True
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+@pytest.mark.parametrize("strategy", ["reuseport", "router"])
+def test_sigterm_to_repro_serve_takes_its_workers_down(tmp_path, strategy):
+    if strategy == "reuseport" and not reuseport_available():
+        pytest.skip("SO_REUSEPORT unavailable")
+    manifest = write_manifest(tmp_path, CONFIG, [])
+    payload = json.loads(manifest.read_text())
+    payload["spread_pairs"] = [["restaurants", "phone"]]
+    payload["traffic_sites"] = ["imdb"]
+    manifest.write_text(json.dumps(payload))
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = {
+        **os.environ,
+        "PYTHONUNBUFFERED": "1",
+        "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        ),
+    }
+    proc = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro", "serve", str(tmp_path),
+            "--host", "127.0.0.1", "--port", "0", "--workers", "2",
+            "--strategy", strategy, "--no-cache",
+        ],
+        stdout=subprocess.PIPE,
+        text=True,
+        env=env,
+    )
+    workers = []
+    try:
+        for line in proc.stdout:
+            if line.startswith("serving on http://"):
+                port = int(line.split()[2].rsplit(":", 1)[1])
+                break
+        else:
+            pytest.fail(f"server never came up (exit {proc.wait()})")
+        workers = _live_children(proc.pid)
+        assert len(workers) == 2
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=10) == 0  # stop() ran, as on Ctrl-C
+        for __ in range(100):  # up to ~5 s
+            if not any(_alive(pid) for pid in workers) and _refuses(port):
+                break
+            time.sleep(0.05)
+        assert [pid for pid in workers if _alive(pid)] == []
+        assert _refuses(port)
+    finally:
+        for pid in workers:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+        proc.kill()
+        proc.wait()
