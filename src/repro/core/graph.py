@@ -13,12 +13,15 @@ quantities it reports are:
 - robustness: the same after deleting the top-k sites (is the graph
   held together only by a few head aggregators?).
 
-Components come from a union-find with path compression and union by
-size.  The diameter uses the iFUB algorithm seeded by a double-sweep:
-exact, and fast on small-diameter graphs because the upper and lower
-bounds meet after a handful of BFS traversals.  BFS runs on a CSR
-adjacency with vectorized frontier expansion, so graphs with millions
-of edges are practical in pure numpy.
+Components are scipy's connected-component labels over a CSR
+adjacency that stores both directions of every edge.  BFS is scipy's
+``breadth_first_order``, with levels read off the predecessor array.
+The diameter is the Takes–Kosters BoundingDiameters algorithm seeded
+by a double sweep: exact, and it needs only a handful of BFS
+traversals on these small-world graphs.  The robustness curve deletes
+the top sites once and adds them back one at a time with a
+:class:`UnionFind` over the remaining graph's components, so it builds
+one graph per curve instead of one per point.
 """
 
 from __future__ import annotations
@@ -194,9 +197,10 @@ class EntitySiteGraph:
     def components(self) -> ComponentSummary:
         """Summarize the component structure over present nodes.
 
-        Uses :func:`scipy.sparse.csgraph.connected_components` over the
-        bipartite adjacency; :class:`UnionFind` provides the same answer
-        and cross-checks it in the test suite.
+        Reads the shared :meth:`component_labels`.  The largest
+        component is the one with the most nodes; ties go to the lowest
+        label, which scipy gives to the component holding the smallest
+        node id.
         """
         inc = self.incidence
         present = np.diff(self._adj_ptr) > 0
@@ -233,24 +237,38 @@ class EntitySiteGraph:
     def bfs_levels(self, source: int) -> np.ndarray:
         """BFS distance from ``source`` to every node (-1 when unreachable).
 
-        Runs as an unweighted shortest-path query over the shared CSR
-        adjacency via ``scipy.sparse.csgraph`` — a C-level BFS, which is
-        what makes the hundreds of traversals behind the exact-diameter
-        computation (Table 2) practical on graphs with millions of
-        edges.  The adjacency already stores both edge directions, so
-        the query runs in directed mode to skip symmetrization.
-        """
-        from scipy.sparse.csgraph import dijkstra
+        Runs :func:`scipy.sparse.csgraph.breadth_first_order` over the
+        shared CSR adjacency — a C-level BFS, which is what makes the
+        hundreds of traversals behind the exact-diameter computation
+        (Table 2) practical.  The adjacency already stores both edge
+        directions, so the query runs in directed mode to skip
+        symmetrization.
 
-        distances = dijkstra(
+        The BFS is FIFO, so the visit order is sorted by level and the
+        parents' positions in it never decrease.  Level L + 1 is then
+        the run of nodes whose parent sits in level L, and each level's
+        end is one binary search over the parent positions.
+        """
+        from scipy.sparse.csgraph import breadth_first_order
+
+        order, predecessors = breadth_first_order(
             self._sparse_adjacency(),
+            int(source),
             directed=True,
-            unweighted=True,
-            indices=int(source),
+            return_predecessors=True,
         )
+        position = np.empty(self.n_nodes, dtype=np.int64)
+        position[order] = np.arange(len(order))
+        parent_position = position[predecessors[order[1:]]]
+        level_ends = [1]
+        while level_ends[-1] < len(order):
+            level_ends.append(
+                1 + int(np.searchsorted(parent_position, level_ends[-1]))
+            )
         levels = np.full(self.n_nodes, -1, dtype=np.int64)
-        reachable = np.isfinite(distances)
-        levels[reachable] = distances[reachable].astype(np.int64)
+        levels[order] = np.repeat(
+            np.arange(len(level_ends)), np.diff(level_ends, prepend=0)
+        )
         return levels
 
     def eccentricity(self, node: int) -> int:
@@ -293,6 +311,16 @@ class EntitySiteGraph:
         )
         return np.sort(eccentricities)
 
+    def _sweep_twice(self, start: int) -> tuple[int, np.ndarray]:
+        """BFS from ``start``, then from the farthest node a it finds.
+
+        Returns:
+            ``(a, levels_a)``; ``levels_a.max()`` lower-bounds the
+            diameter of start's component.
+        """
+        a = int(np.argmax(self.bfs_levels(start)))
+        return a, self.bfs_levels(a)
+
     def double_sweep(self, start: int) -> tuple[int, int, int]:
         """Double-sweep heuristic: a diameter lower bound and a midpoint.
 
@@ -303,9 +331,7 @@ class EntitySiteGraph:
         Returns:
             ``(lower_bound, root, a)`` where root is the halfway node.
         """
-        levels = self.bfs_levels(start)
-        a = int(np.argmax(levels))
-        levels_a = self.bfs_levels(a)
+        a, levels_a = self._sweep_twice(start)
         b = int(np.argmax(levels_a))
         lower = int(levels_a[b])
         # Walk back from b towards a along BFS parents to find the middle.
@@ -381,7 +407,7 @@ class EntitySiteGraph:
         # Seed the lower bound with a double sweep: it almost always
         # finds the true diameter immediately, so the main loop spends
         # its budget proving optimality rather than searching.
-        diameter_lower = self.double_sweep(start)[0]
+        diameter_lower = int(self._sweep_twice(start)[1].max())
         bfs_budget = max_bfs if max_bfs is not None else len(component)
         pick_upper = True
 
@@ -464,18 +490,56 @@ def robustness_curve(
     number of entities present in the *original* graph, so entities
     stranded by the removal count against the fraction.
 
+    Runs offline in reverse: one graph with every removed site deleted
+    gives the component labels at k = max_removed, then the sites go
+    back one at a time (k = max_removed - 1 down to 0) through a
+    :class:`UnionFind` over those labels.  Each root tracks its entity
+    count, node count and smallest node id, so the largest component is
+    the one with the most nodes, ties going to the smallest entity —
+    the same pick :meth:`EntitySiteGraph.components` makes.
+
     Returns:
         ``(ks, fractions)`` arrays of length ``max_removed + 1``.
     """
     if max_removed < 0:
         raise ValueError("max_removed must be non-negative")
-    original_entities = len(incidence.mentioned_entities())
-    ranking = incidence.sites_by_size()
     ks = np.arange(max_removed + 1)
     fractions = np.zeros(len(ks))
-    for i, k in enumerate(ks):
-        remaining = incidence.drop_sites(ranking[:k]) if k else incidence
-        summary = EntitySiteGraph(remaining).components()
-        if original_entities:
-            fractions[i] = summary.largest_component_entities / original_entities
+    original_entities = len(incidence.mentioned_entities())
+    if not original_entities:
+        return ks, fractions
+    removed = incidence.sites_by_size()[:max_removed]
+    labels = EntitySiteGraph(incidence.drop_sites(removed)).component_labels()
+    n_labels = int(labels.max()) + 1
+    # Per component of the remaining graph: entity count, node count
+    # and smallest node id.  Unmentioned entities and empty sites are
+    # single-node components; a present one has an entity and a site.
+    entity_count = np.bincount(labels[:incidence.n_entities], minlength=n_labels)
+    node_count = np.bincount(labels)
+    first_node = np.unique(labels, return_index=True)[1]
+    tied = np.flatnonzero(node_count == node_count.max())
+    best = int(tied[np.argmin(first_node[tied])])
+    best_key = (int(node_count[best]), -int(first_node[best]))
+    best_entities = int(entity_count[best]) if best_key[0] > 1 else 0
+    # The removed sites join as singletons after the remaining graph's
+    # components, with a smallest node id past every real one.
+    entities = entity_count.tolist() + [0] * len(removed)
+    nodes = node_count.tolist() + [1] * len(removed)
+    first = first_node.tolist() + [len(labels)] * len(removed)
+    uf = UnionFind(n_labels + len(removed))
+    fractions[len(removed):] = best_entities / original_entities
+    for k in range(len(removed) - 1, -1, -1):
+        site = n_labels + k
+        touched = np.unique(labels[incidence.site_entities(int(removed[k]))])
+        roots = {uf.find(int(label)) for label in touched} | {site}
+        for root in roots:
+            uf.union(site, root)
+        merged = uf.find(site)
+        entities[merged] = sum(entities[root] for root in roots)
+        nodes[merged] = sum(nodes[root] for root in roots)
+        first[merged] = min(first[root] for root in roots)
+        key = (nodes[merged], -first[merged])
+        if key > best_key:
+            best_key, best_entities = key, entities[merged]
+        fractions[k] = best_entities / original_entities
     return ks, fractions

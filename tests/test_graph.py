@@ -1,7 +1,10 @@
 """Unit and property tests for the entity-site graph analysis.
 
 Components, BFS distances, and exact diameters are cross-checked
-against networkx on randomized graphs.
+against networkx on randomized graphs.  The BFS levels and the
+robustness curve are also pinned to the straightforward kernels they
+replaced: scipy's unweighted ``dijkstra``, and one graph rebuild per
+number of removed sites.
 """
 
 from __future__ import annotations
@@ -9,7 +12,8 @@ from __future__ import annotations
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from scipy.sparse.csgraph import dijkstra
 
 from repro.core.graph import (
     EntitySiteGraph,
@@ -18,6 +22,8 @@ from repro.core.graph import (
     robustness_curve,
 )
 from repro.core.incidence import BipartiteIncidence
+from repro.pipeline.config import ExperimentConfig
+from repro.pipeline.experiments import TABLE2_ROWS, spread_incidence
 
 
 def to_networkx(inc: BipartiteIncidence) -> nx.Graph:
@@ -27,6 +33,46 @@ def to_networkx(inc: BipartiteIncidence) -> nx.Graph:
         for e in inc.site_entities(s).tolist():
             graph.add_edge(e, site_node)
     return graph
+
+
+def dijkstra_levels(graph: EntitySiteGraph, source: int) -> np.ndarray:
+    """Reference BFS levels: scipy's unweighted shortest paths."""
+    distances = dijkstra(
+        graph._sparse_adjacency(),
+        directed=True,
+        unweighted=True,
+        indices=int(source),
+    )
+    levels = np.full(graph.n_nodes, -1, dtype=np.int64)
+    reachable = np.isfinite(distances)
+    levels[reachable] = distances[reachable].astype(np.int64)
+    return levels
+
+
+def robustness_reference(
+    incidence: BipartiteIncidence, max_removed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Reference Figure 9 curve: rebuild the graph for every k."""
+    original_entities = len(incidence.mentioned_entities())
+    ranking = incidence.sites_by_size()
+    ks = np.arange(max_removed + 1)
+    fractions = np.zeros(len(ks))
+    for i, k in enumerate(ks):
+        remaining = incidence.drop_sites(ranking[:k]) if k else incidence
+        summary = EntitySiteGraph(remaining).components()
+        if original_entities:
+            fractions[i] = summary.largest_component_entities / original_entities
+    return ks, fractions
+
+
+@pytest.fixture(scope="module")
+def tiny_table2_incidences() -> list[BipartiteIncidence]:
+    """The 17 Table 2 / Figure 9 corpora at ``tiny`` scale."""
+    config = ExperimentConfig(scale="tiny", seed=0)
+    return [
+        spread_incidence(domain, attribute, config)
+        for domain, attribute in TABLE2_ROWS
+    ]
 
 
 # -- UnionFind -------------------------------------------------------------------
@@ -166,6 +212,68 @@ class TestDistances:
         assert lower <= graph.diameter()
         assert graph.bfs_levels(start)[root] >= 0  # root in same component
 
+    def test_capped_diameter_keeps_bfs_sequence(
+        self, tiny_table2_incidences, monkeypatch
+    ):
+        """``max_bfs`` binds on most rows, so the answer depends on the
+        exact BFS sources: both BFS kernels must be fed the same ones."""
+
+        def traced_diameters(bfs):
+            sources = []
+
+            def traced(graph, source):
+                sources.append(int(source))
+                return bfs(graph, source)
+
+            monkeypatch.setattr(EntitySiteGraph, "bfs_levels", traced)
+            diameters = [
+                EntitySiteGraph(inc).diameter(max_bfs=64)
+                for inc in tiny_table2_incidences
+            ]
+            return diameters, sources
+
+        fast = traced_diameters(EntitySiteGraph.bfs_levels)
+        reference = traced_diameters(dijkstra_levels)
+        assert fast == reference
+
+
+@st.composite
+def bfs_cases(draw):
+    """An incidence whose last entity is unmentioned, and any source."""
+    n_entities = draw(st.integers(min_value=1, max_value=14))
+    sites = draw(
+        st.lists(
+            st.lists(st.integers(0, n_entities - 1), min_size=1, max_size=6),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    inc = BipartiteIncidence.from_site_lists(
+        n_entities=n_entities + 1,
+        sites=[(f"s{s}", entities) for s, entities in enumerate(sites)],
+    )
+    source = draw(st.integers(0, inc.n_entities + inc.n_sites - 1))
+    return inc, source
+
+
+@given(bfs_cases())
+@example(
+    (
+        # Entity 2 is unmentioned: 0 at the source, -1 everywhere else.
+        BipartiteIncidence.from_site_lists(
+            n_entities=3, sites=[("s0", [0, 1])]
+        ),
+        2,
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_property_bfs_levels_match_dijkstra(case):
+    inc, source = case
+    graph = EntitySiteGraph(inc)
+    levels = graph.bfs_levels(source)
+    assert levels.dtype == np.int64
+    assert np.array_equal(levels, dijkstra_levels(graph, source))
+
 
 @st.composite
 def connected_ish_incidence(draw):
@@ -243,6 +351,70 @@ class TestMetricsAndRobustness:
     def test_robustness_monotone_nonincreasing(self, random_incidence):
         __, fractions = robustness_curve(random_incidence, max_removed=5)
         assert np.all(np.diff(fractions) <= 1e-12)
+
+    def test_robustness_matches_reference_on_table2_panels(
+        self, tiny_table2_incidences
+    ):
+        for inc in tiny_table2_incidences:
+            ks, fractions = robustness_curve(inc, max_removed=10)
+            expected_ks, expected = robustness_reference(inc, max_removed=10)
+            assert np.array_equal(ks, expected_ks)
+            assert np.array_equal(fractions, expected)
+
+
+@st.composite
+def robustness_cases(draw):
+    """An incidence and a removal budget for the Figure 9 curve.
+
+    Covers empty corpora, unmentioned entities, empty sites and budgets
+    past the site count.  When drawn, it adds two components with the
+    same node count but different entity counts: one site with three
+    entities, and two sites sharing two entities.  Entity and site
+    order are shuffled, so either one may hold the smallest entity.
+    """
+    n_entities = draw(st.integers(min_value=0, max_value=10))
+    site = (
+        st.lists(st.integers(0, n_entities - 1), max_size=5)
+        if n_entities
+        else st.just([])
+    )
+    sites = draw(st.lists(site, max_size=6))
+    if draw(st.booleans()):
+        a, b = n_entities, n_entities + 3
+        sites += [[a, a + 1, a + 2], [b, b + 1], [b + 1]]
+        n_entities += 5
+    relabel = draw(st.permutations(range(n_entities)))
+    sites = draw(st.permutations(sites))
+    inc = BipartiteIncidence.from_site_lists(
+        n_entities=n_entities,
+        sites=[
+            (f"s{s}", [relabel[e] for e in entities])
+            for s, entities in enumerate(sites)
+        ],
+    )
+    return inc, draw(st.integers(0, len(sites) + 2))
+
+
+@given(robustness_cases())
+@example((BipartiteIncidence.from_site_lists(n_entities=3, sites=[]), 2))
+@example(
+    (
+        # Tied at four nodes: {a, 1, 2, 4} holds three entities,
+        # {b, c, 0, 3} two, and the tie goes to the one with entity 0.
+        BipartiteIncidence.from_site_lists(
+            n_entities=5,
+            sites=[("a", [1, 2, 4]), ("b", [0, 3]), ("c", [0])],
+        ),
+        5,
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_property_robustness_matches_reference(case):
+    inc, max_removed = case
+    ks, fractions = robustness_curve(inc, max_removed=max_removed)
+    expected_ks, expected = robustness_reference(inc, max_removed)
+    assert np.array_equal(ks, expected_ks)
+    assert np.array_equal(fractions, expected)
 
 
 class TestEccentricitySample:
