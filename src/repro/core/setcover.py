@@ -40,7 +40,9 @@ def greedy_set_cover(
         ``(order, gains)``: selected site indices and the number of
         newly covered entities each contributed.  Sites contributing
         nothing are not selected, so the order's cumulative gain sums to
-        the 1-coverage of the whole corpus.
+        the 1-coverage of the whole corpus.  Among sites of equal gain
+        the lowest index is picked, so the order equals the textbook
+        O(S²) greedy's.
     """
     if max_sites is None:
         max_sites = incidence.n_sites
@@ -64,9 +66,12 @@ def greedy_set_cover(
         gain = len(fresh)
         if gain == 0:
             continue
-        if heap and -heap[0][0] > gain:
-            # Someone else's (upper-bound) gain beats our fresh gain:
-            # re-queue with the exact value and try again.
+        if gain < -stale_gain:
+            # Stale bound: re-queue with the exact value and try again.
+            # Picking only exact entries makes ties go to the lowest site
+            # index, as in the textbook greedy: every other entry is
+            # behind this one in (-bound, site) order, and true gains
+            # never exceed their bounds.
             heapq.heappush(heap, (-gain, site))
             continue
         covered[fresh] = True

@@ -403,8 +403,18 @@ class _StagedRunner:
     # -- pooled execution ---------------------------------------------------
 
     def _run_pooled_stage(self, stage: list[ExperimentTask]) -> None:
-        """Fan one stage out over the pool with retries and deadlines."""
-        queue: collections.deque[ExperimentTask] = collections.deque(stage)
+        """Fan one stage out over the pool with retries and deadlines.
+
+        Submission order is heaviest consumer first: tasks that read
+        more shared artifacts (``requires``) are the long ones, and
+        starting them first keeps one from trailing alone at the stage
+        barrier.  The sort is stable, so ties keep their declared
+        order; retries and refunds requeue at the back.  Inline
+        execution (serial or degraded) keeps the declared order.
+        """
+        queue: collections.deque[ExperimentTask] = collections.deque(
+            sorted(stage, key=lambda task: -len(task.requires))
+        )
         pending: dict[str, tuple[ExperimentTask, Any, float | None]] = {}
         while queue or pending:
             if self.degraded:
@@ -412,7 +422,7 @@ class _StagedRunner:
                 leftovers += list(queue)
                 pending.clear()
                 queue.clear()
-                for task in leftovers:
+                for task in sorted(leftovers, key=stage.index):
                     self._run_inline(task)
                 return
             self._ensure_pool()

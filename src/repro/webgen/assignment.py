@@ -136,11 +136,22 @@ class AssignmentModel:
         cdf: np.ndarray,
         members: np.ndarray,
         count: int,
+        scales: dict[int, float],
     ) -> np.ndarray:
-        """Sample a global site's entities; exact-size Bernoulli for head sites."""
+        """Sample a global site's entities; exact-size Bernoulli for head sites.
+
+        ``scales`` memoizes the calibrated Bernoulli scale per site size:
+        ``weights`` is fixed within one :meth:`generate` call and the
+        calibration is pure, so head sites of equal size share one
+        bisection (the size curve repeats sizes heavily).
+        """
         if count < 0.02 * len(members):
             return self._sample_biased(rng, cdf, members, count)
-        scale = _calibrate_bernoulli_scale(weights, float(count))
+        scale = scales.get(count)
+        if scale is None:
+            scale = scales[count] = _calibrate_bernoulli_scale(
+                weights, float(count)
+            )
         include_prob = np.minimum(1.0, scale * weights)
         mask = rng.random(len(members)) < include_prob
         return members[mask]
@@ -191,6 +202,7 @@ class AssignmentModel:
 
         hosts: list[str] = []
         site_lists: list[np.ndarray] = []
+        scales: dict[int, float] = {}
         niche_flags = (sizes <= self.niche_size_threshold) & (
             rng.random(len(sizes)) < self.niche_fraction
         )
@@ -207,7 +219,9 @@ class AssignmentModel:
                     )
                 hosts.append(f"local-{loc:04d}-{rank:06d}.{self.host_suffix}")
             else:
-                entities = self._sample_global(rng, weights, cdf, regular, size)
+                entities = self._sample_global(
+                    rng, weights, cdf, regular, size, scales
+                )
                 hosts.append(f"site-{rank:06d}.{self.host_suffix}")
             site_lists.append(np.asarray(entities, dtype=np.int64))
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 from repro.perf.history import (
     BEGIN_MARKER,
@@ -205,3 +206,17 @@ def test_reports_without_rss_render_a_dash(tmp_path):
     table = format_history(rows)
     for line in table.splitlines()[2:]:
         assert "| -" in line
+
+
+def test_committed_performance_doc_table_is_current():
+    """docs/performance.md's marked section equals ``repro bench --history``.
+
+    Read-only: a BENCH_PR*.json added or changed without re-running
+    ``python -m repro bench --history`` fails here instead of leaving a
+    stale table in the docs.
+    """
+    root = Path(__file__).resolve().parents[1]
+    text = (root / "docs" / "performance.md").read_text(encoding="utf-8")
+    __, rest = text.split(BEGIN_MARKER, 1)
+    committed, __ = rest.split(END_MARKER, 1)
+    assert committed.strip("\n") == format_history(collect_bench_rows(root))

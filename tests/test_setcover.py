@@ -48,6 +48,24 @@ def test_greedy_prefers_complementary_over_size():
     assert len(order) == 3
 
 
+def test_ties_go_to_the_lowest_site_index():
+    # s0 and s3 tie at 3; once s0 is taken, s1, s2 and s3 tie at 2.  The
+    # lowest index must win both ties: taking s3 second would leave s1
+    # and s2 one fresh entity each ([3, 2, 1, 1] instead of [3, 2, 2]).
+    inc = BipartiteIncidence.from_site_lists(
+        n_entities=7,
+        sites=[
+            ("s0", [0, 5, 6]),
+            ("s1", [1, 4]),
+            ("s2", [2, 3]),
+            ("s3", [0, 1, 2]),
+        ],
+    )
+    order, gains = greedy_set_cover(inc)
+    assert order.tolist() == [0, 1, 2]
+    assert gains.tolist() == [3, 2, 2]
+
+
 def test_max_sites_cap(tiny_incidence):
     order, gains = greedy_set_cover(tiny_incidence, max_sites=1)
     assert len(order) == 1
